@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "mining/predictability.hpp"
-#include "policy/diurnal.hpp"
-#include "policy/fixed.hpp"
 #include "policy/forecast_slot.hpp"
 #include "policy/hiku.hpp"
 #include "policy/hybrid.hpp"
-#include "policy/predictor.hpp"
-#include "policy/spes.hpp"
 
 namespace defuse::arena {
 namespace {
@@ -22,22 +17,22 @@ namespace {
                           "mining is null)"};
 }
 
-/// Seeds a policy's per-unit idle-time histograms from the training
-/// window — the exact procedure core::MakeDefuseScheduler and the
-/// experiment driver use, so registry-built policies match them.
-template <typename Policy>
-void SeedUnitHistograms(Policy& policy, std::size_t histogram_bins,
-                        MinuteDelta histogram_bin_width,
-                        const trace::InvocationTrace& trace, TimeRange train) {
-  mining::PredictabilityConfig shape;
-  shape.histogram_bins = histogram_bins;
-  shape.histogram_bin_width = histogram_bin_width;
-  for (std::size_t u = 0; u < policy.unit_map().num_units(); ++u) {
-    const UnitId unit{static_cast<std::uint32_t>(u)};
-    const auto hist = mining::BuildGroupItHistogram(
-        trace, policy.unit_map().functions_of(unit), train, shape);
-    if (hist.total() > 0) policy.SeedHistogram(unit, hist);
+/// The SPES trade-off tiers (arXiv:2403.17574) as hybrid-policy presets:
+/// the latency tier covers more of the idle-time tail with a wider margin
+/// and twice the residency; the cost tier does the reverse; balanced is
+/// the hybrid policy's own defaults.
+[[nodiscard]] policy::HybridConfig SpesTierConfig(const std::string& tier) {
+  policy::HybridConfig config;
+  if (tier == "latency") {
+    config.hist_threshold = 0.02;
+    config.margin = 0.25;
+    config.amplification = 2.0;
+  } else if (tier == "cost") {
+    config.hist_threshold = 0.10;
+    config.margin = 0.05;
+    config.amplification = 0.5;
   }
+  return config;
 }
 
 [[nodiscard]] ParamInfo AmpParam() {
@@ -87,22 +82,9 @@ void SeedUnitHistograms(Policy& policy, std::size_t histogram_bins,
         if (ctx.mining == nullptr) return MissingMining("diurnal");
         policy::DiurnalConfig config;
         config.hybrid.amplification = values.GetDouble("amp");
-        auto diurnal = std::make_unique<policy::DiurnalPolicy>(
-            graph::UnitMap::FromDependencySets(ctx.mining->sets,
-                                             ctx.model->num_functions()),
-            config);
-        SeedUnitHistograms(*diurnal, config.hybrid.histogram_bins,
-                           config.hybrid.histogram_bin_width, *ctx.trace,
-                           ctx.train);
-        for (std::size_t u = 0; u < diurnal->unit_map().num_units(); ++u) {
-          const UnitId unit{static_cast<std::uint32_t>(u)};
-          for (const FunctionId fn : diurnal->unit_map().functions_of(unit)) {
-            for (const auto& e : ctx.trace->SeriesInRange(fn, ctx.train)) {
-              diurnal->SeedDayProfile(unit, e.minute);
-            }
-          }
-        }
-        return std::unique_ptr<policy::SchedulingPolicy>{std::move(diurnal)};
+        return std::unique_ptr<policy::SchedulingPolicy>{
+            core::MakeDiurnalScheduler(*ctx.trace, *ctx.mining, ctx.train,
+                                       config)};
       }});
 
   entries.push_back(PolicyEntry{
@@ -119,8 +101,8 @@ void SeedUnitHistograms(Policy& policy, std::size_t histogram_bins,
       .factory = [](const PolicyBuildContext& ctx, const SpecValues& values)
           -> Result<std::unique_ptr<policy::SchedulingPolicy>> {
         return std::unique_ptr<policy::SchedulingPolicy>{
-            std::make_unique<policy::FixedKeepAlivePolicy>(
-                graph::UnitMap::PerFunction(ctx.model->num_functions()),
+            core::MakeFixedScheduler(
+                *ctx.model,
                 static_cast<MinuteDelta>(values.GetInt("keepalive")))};
       }});
 
@@ -247,20 +229,16 @@ void SeedUnitHistograms(Policy& policy, std::size_t histogram_bins,
         if (ctx.mining == nullptr) return MissingMining("predictor");
         policy::PredictorConfig config;
         config.hybrid.amplification = values.GetDouble("amp");
-        auto predictor = std::make_unique<policy::PeriodicityPredictorPolicy>(
-            graph::UnitMap::FromDependencySets(ctx.mining->sets,
-                                             ctx.model->num_functions()),
-            config);
-        SeedUnitHistograms(*predictor, config.hybrid.histogram_bins,
-                           config.hybrid.histogram_bin_width, *ctx.trace,
-                           ctx.train);
-        return std::unique_ptr<policy::SchedulingPolicy>{std::move(predictor)};
+        return std::unique_ptr<policy::SchedulingPolicy>{
+            core::MakePredictorScheduler(*ctx.trace, *ctx.mining, ctx.train,
+                                         config)};
       }});
 
   entries.push_back(PolicyEntry{
       .name = "spes",
-      .description = "SPES-style cost/latency trade-off tiers per function "
-                     "(tier scales residency aggressiveness)",
+      .description = "SPES-style cost/latency trade-off tiers: presets of "
+                     "the hybrid policy per function (tail percentile, "
+                     "margin, keep-alive scale)",
       .needs_mining = false,
       .params = {ParamInfo{.key = "tier",
                            .type = ParamType::kEnum,
@@ -269,16 +247,10 @@ void SeedUnitHistograms(Policy& policy, std::size_t histogram_bins,
                            .default_value = "balanced"}},
       .factory = [](const PolicyBuildContext& ctx, const SpecValues& values)
           -> Result<std::unique_ptr<policy::SchedulingPolicy>> {
-        policy::SpesConfig config;
-        const std::string& tier = values.GetEnum("tier");
-        config.tier = tier == "latency"  ? policy::SpesTier::kLatency
-                      : tier == "cost"   ? policy::SpesTier::kCost
-                                         : policy::SpesTier::kBalanced;
-        auto spes = std::make_unique<policy::SpesTieredPolicy>(
-            graph::UnitMap::PerFunction(ctx.model->num_functions()), config);
-        SeedUnitHistograms(*spes, config.histogram_bins,
-                           config.histogram_bin_width, *ctx.trace, ctx.train);
-        return std::unique_ptr<policy::SchedulingPolicy>{std::move(spes)};
+        return std::unique_ptr<policy::SchedulingPolicy>{
+            core::MakeHybridFunctionScheduler(
+                *ctx.trace, *ctx.model, ctx.train,
+                SpesTierConfig(values.GetEnum("tier")))};
       }});
 
   std::sort(entries.begin(), entries.end(),

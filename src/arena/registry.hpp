@@ -1,15 +1,16 @@
 // The policy arena: a registry mapping policy names to factories and
-// parameter schemas, so every scheduler in the tree — the hybrid family,
-// the diurnal/predictor extensions, and the SPES/Hiku/forecast-slot
-// competitors — is constructible from a spec string like
-// `hybrid:coarse` or `spes:tier=balanced`.
+// parameter schemas, so every scheduler in the tree — the hybrid family
+// (SPES tiers included, as hybrid presets), the diurnal/predictor
+// extensions, and the Hiku/forecast-slot competitors — is constructible
+// from a spec string like `hybrid:coarse` or `spes:tier=balanced`.
 //
 // Construction is deterministic: a factory is a pure function of
 // (PolicyBuildContext, SpecValues). Factories never touch clocks, RNGs,
-// or the environment (enforced by defuse-lint over src/arena), so a
-// registry-built policy is byte-identical to the directly-constructed
-// one — the arena determinism suite pins `hybrid:set` against
-// core::MakeDefuseScheduler to keep it that way.
+// or the environment (enforced by defuse-lint over src/arena). Every
+// seeded policy is built by the core:: factories the experiment driver
+// also calls, so a registry-built policy is byte-identical to the
+// directly-constructed one — the arena determinism suite pins
+// `hybrid:set` against core::MakeDefuseScheduler to keep it that way.
 #pragma once
 
 #include <functional>

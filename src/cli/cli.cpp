@@ -10,7 +10,6 @@
 #include "arena/scenarios.hpp"
 #include "cli/shutdown.hpp"
 #include "common/csv.hpp"
-#include "core/adaptive.hpp"
 #include "net/server_core.hpp"
 #include "net/socket.hpp"
 #include "server/client.hpp"
@@ -80,10 +79,6 @@ commands:
              --trace FILE (required)   --out FILE (required)
              --sample-users N  uniform user sample (--seed S)
              --first-days N    time-slice the first N days
-  adaptive   simulate the daily re-mining daemon over the trace tail
-             --trace FILE (required)   --last-days N (2)
-             --epoch-days N (1)        --window-days N (4)
-             --mine-threads N (0 = serial)
   replay     stream the whole trace through the online platform engine
              (live re-mining, residency carry-over)
              --trace FILE (required)   --remine-days N (1)
@@ -204,7 +199,7 @@ std::optional<TraceBundle> LoadTrace(const FlagParser& flags,
                      .eval = eval};
 }
 
-/// Shared by mine/adaptive/replay: the --mine-threads fan-out width.
+/// Shared by mine/replay/recover/serve: the --mine-threads fan-out width.
 /// Any value yields a bit-identical graph; only wall-clock changes.
 bool MineThreadsFromFlags(const FlagParser& flags, std::ostream& err,
                           mining::ParallelMineConfig& parallel) {
@@ -647,57 +642,6 @@ int CmdFilter(const FlagParser& flags, std::ostream& out,
   return 0;
 }
 
-int CmdAdaptive(const FlagParser& flags, std::ostream& out,
-                std::ostream& err) {
-  const auto bundle = LoadTrace(flags, err);
-  if (!bundle) return 1;
-  const auto last_days = flags.GetInt("last-days", 2);
-  const auto epoch_days = flags.GetInt("epoch-days", 1);
-  const auto window_days = flags.GetInt("window-days", 4);
-  if (!last_days.ok() || !epoch_days.ok() || !window_days.ok() ||
-      last_days.value() < 1 || epoch_days.value() < 1 ||
-      window_days.value() < 1) {
-    err << "error: --last-days/--epoch-days/--window-days must be positive "
-           "integers\n";
-    return 1;
-  }
-  const TimeRange horizon = bundle->trace.horizon();
-  const Minute span_begin = std::max<Minute>(
-      horizon.begin, horizon.end - last_days.value() * kMinutesPerDay);
-
-  core::AdaptiveConfig config;
-  config.remine_interval = epoch_days.value() * kMinutesPerDay;
-  config.mining_window = window_days.value() * kMinutesPerDay;
-  if (!MineThreadsFromFlags(flags, err, config.mining.parallel)) return 1;
-  const auto result =
-      core::RunAdaptive(bundle->model, bundle->trace,
-                        TimeRange{span_begin, horizon.end}, config);
-
-  out << "epoch,mined_days,dependency_sets,avg_memory,cold_fraction\n";
-  for (std::size_t i = 0; i < result.epochs.size(); ++i) {
-    const auto& epoch = result.epochs[i];
-    std::uint64_t invoked = 0, cold = 0;
-    for (const auto& [inv, c] : epoch.function_counts) {
-      invoked += inv;
-      cold += c;
-    }
-    char line[128];
-    std::snprintf(line, sizeof line, "%zu,%.1f,%zu,%.1f,%.4f\n", i,
-                  static_cast<double>(epoch.mined_from.length()) /
-                      static_cast<double>(kMinutesPerDay),
-                  epoch.dependency_sets, epoch.sim.AverageMemoryUsage(),
-                  invoked == 0 ? 0.0
-                               : static_cast<double>(cold) /
-                                     static_cast<double>(invoked));
-    out << line;
-  }
-  const auto rates = result.FunctionColdStartRates();
-  out << "aggregate: p75 function cold-start rate "
-      << stats::Percentile(rates, 0.75) << ", avg memory "
-      << result.AverageMemoryUsage() << "\n";
-  return 0;
-}
-
 int CmdCompare(const FlagParser& flags, std::ostream& out,
                std::ostream& err) {
   const auto bundle = LoadTrace(flags, err);
@@ -775,32 +719,6 @@ int CmdScenarios(std::ostream& out) {
     }
   }
   return 0;
-}
-
-/// Splits a comma-separated spec list ("hybrid:set,spes:tier=cost").
-std::vector<std::string> SplitSpecList(const std::string& text) {
-  std::vector<std::string> specs;
-  std::istringstream stream{text};
-  std::string token;
-  while (std::getline(stream, token, ',')) {
-    // Spec parameters also use ',' — but list entries never start with
-    // 'key=' because names come first, so re-join tokens that contain
-    // '=' but no leading name, i.e. tokens following a ':' spec whose
-    // parameter list was split. Heuristic: a token containing '=' or a
-    // bare variant word belongs to the previous spec when that spec has
-    // an unfinished ':' tail.
-    if (!specs.empty()) {
-      const std::string& prev = specs.back();
-      const bool prev_has_params = prev.find(':') != std::string::npos;
-      const bool looks_like_param = token.find('=') != std::string::npos;
-      if (prev_has_params && looks_like_param) {
-        specs.back() += "," + token;
-        continue;
-      }
-    }
-    if (!token.empty()) specs.push_back(token);
-  }
-  return specs;
 }
 
 int CmdArena(const FlagParser& flags, std::ostream& out, std::ostream& err) {
@@ -1484,6 +1402,28 @@ int CmdHealth(const FlagParser& flags, std::ostream& out, std::ostream& err) {
 
 }  // namespace
 
+std::vector<std::string> SplitSpecList(const std::string& text) {
+  std::vector<std::string> specs;
+  std::istringstream stream{text};
+  std::string token;
+  while (std::getline(stream, token, ',')) {
+    // Spec parameters also use ',', so a token may be the next parameter
+    // of the previous spec ("window=3" after "hiku:delay=2") rather than
+    // a spec of its own. A parameter has a '=' and no ':' before it; a
+    // spec names its policy first, so "spes:tier=cost" starts a new one.
+    const std::size_t eq = token.find('=');
+    const bool is_param = eq != std::string::npos && token.find(':') > eq;
+    if (is_param && !specs.empty() &&
+        specs.back().find(':') != std::string::npos) {
+      specs.back() += ',';
+      specs.back() += token;
+      continue;
+    }
+    if (!token.empty()) specs.push_back(token);
+  }
+  return specs;
+}
+
 int RunCli(std::span<const std::string> args, std::ostream& out,
            std::ostream& err) {
   if (args.empty() || args[0] == "help" || args[0] == "--help") {
@@ -1498,7 +1438,6 @@ int RunCli(std::span<const std::string> args, std::ostream& out,
   if (command == "simulate") return CmdSimulate(flags, out, err);
   if (command == "sweep") return CmdSweep(flags, out, err);
   if (command == "filter") return CmdFilter(flags, out, err);
-  if (command == "adaptive") return CmdAdaptive(flags, out, err);
   if (command == "replay") return CmdReplay(flags, out, err);
   if (command == "recover") return CmdRecover(flags, out, err);
   if (command == "fsck") return CmdFsck(flags, out, err);

@@ -15,6 +15,7 @@
 #include <ostream>
 #include <span>
 #include <string>
+#include <vector>
 
 namespace defuse::cli {
 
@@ -23,5 +24,11 @@ namespace defuse::cli {
 /// code (0 on success, 1 on usage errors, 2 on runtime failures).
 int RunCli(std::span<const std::string> args, std::ostream& out,
            std::ostream& err);
+
+/// Splits an `arena --policies/--scenarios` list into specs:
+/// "hybrid:set,spes:tier=cost" -> {"hybrid:set", "spes:tier=cost"}. A
+/// `key=value` token continues the previous spec's parameter list, so
+/// "hiku:delay=2,window=3" stays one spec.
+[[nodiscard]] std::vector<std::string> SplitSpecList(const std::string& text);
 
 }  // namespace defuse::cli

@@ -11,20 +11,25 @@
 namespace defuse::core {
 namespace {
 
-/// Seeds every unit's histogram from the unit's group idle times over the
-/// training window.
-void SeedFromTraining(policy::HybridHistogramPolicy& policy,
-                      const trace::InvocationTrace& trace, TimeRange train) {
-  const graph::UnitMap& units = policy.unit_map();
-  mining::PredictabilityConfig hist_shape;
-  hist_shape.histogram_bins = policy.config().histogram_bins;
-  hist_shape.histogram_bin_width = policy.config().histogram_bin_width;
-  for (std::size_t u = 0; u < units.num_units(); ++u) {
-    const UnitId unit{static_cast<std::uint32_t>(u)};
-    const auto hist = mining::BuildGroupItHistogram(
-        trace, units.functions_of(unit), train, hist_shape);
-    if (hist.total() > 0) policy.SeedHistogram(unit, hist);
+/// Seeds every unit that saw traffic with its histogram. Every policy
+/// with a per-unit SeedHistogram is seeded here.
+template <typename Policy>
+void SeedHistograms(Policy& policy,
+                    const std::vector<stats::Histogram>& histograms) {
+  for (std::size_t u = 0; u < histograms.size(); ++u) {
+    if (histograms[u].total() > 0) {
+      policy.SeedHistogram(UnitId{static_cast<std::uint32_t>(u)},
+                           histograms[u]);
+    }
   }
+}
+
+template <typename Policy>
+void SeedFromTraining(Policy& policy, const trace::InvocationTrace& trace,
+                      TimeRange train,
+                      const policy::HybridConfig& policy_config) {
+  SeedHistograms(policy, TrainingHistograms(trace, policy.unit_map(), train,
+                                            policy_config));
 }
 
 }  // namespace
@@ -231,6 +236,31 @@ Result<MiningOutput> MineDependencies(
   return output;
 }
 
+std::vector<stats::Histogram> TrainingHistograms(
+    const trace::InvocationTrace& trace, const graph::UnitMap& units,
+    TimeRange window, const policy::HybridConfig& policy_config) {
+  mining::PredictabilityConfig shape;
+  shape.histogram_bins = policy_config.histogram_bins;
+  shape.histogram_bin_width = policy_config.histogram_bin_width;
+  std::vector<stats::Histogram> histograms;
+  histograms.reserve(units.num_units());
+  for (std::size_t u = 0; u < units.num_units(); ++u) {
+    histograms.push_back(mining::BuildGroupItHistogram(
+        trace, units.functions_of(UnitId{static_cast<std::uint32_t>(u)}),
+        window, shape));
+  }
+  return histograms;
+}
+
+std::unique_ptr<policy::HybridHistogramPolicy> MakeSeededScheduler(
+    graph::UnitMap units, const std::vector<stats::Histogram>& histograms,
+    const policy::HybridConfig& policy_config) {
+  auto policy = std::make_unique<policy::HybridHistogramPolicy>(
+      std::move(units), policy_config);
+  SeedHistograms(*policy, histograms);
+  return policy;
+}
+
 std::unique_ptr<policy::HybridHistogramPolicy> MakeDefuseScheduler(
     const trace::InvocationTrace& trace, const MiningOutput& mining,
     TimeRange train, const policy::HybridConfig& policy_config) {
@@ -244,7 +274,7 @@ std::unique_ptr<policy::HybridHistogramPolicy> MakeSetScheduler(
   auto units = graph::UnitMap::FromDependencySets(sets, trace.num_functions());
   auto policy = std::make_unique<policy::HybridHistogramPolicy>(
       std::move(units), policy_config);
-  SeedFromTraining(*policy, trace, train);
+  SeedFromTraining(*policy, trace, train, policy_config);
   return policy;
 }
 
@@ -253,7 +283,7 @@ std::unique_ptr<policy::HybridHistogramPolicy> MakeHybridFunctionScheduler(
     TimeRange train, const policy::HybridConfig& policy_config) {
   auto policy = std::make_unique<policy::HybridHistogramPolicy>(
       graph::UnitMap::PerFunction(model.num_functions()), policy_config);
-  SeedFromTraining(*policy, trace, train);
+  SeedFromTraining(*policy, trace, train, policy_config);
   return policy;
 }
 
@@ -264,8 +294,43 @@ MakeHybridApplicationScheduler(const trace::InvocationTrace& trace,
                                const policy::HybridConfig& policy_config) {
   auto policy = std::make_unique<policy::HybridHistogramPolicy>(
       graph::UnitMap::PerApplication(model), policy_config);
-  SeedFromTraining(*policy, trace, train);
+  SeedFromTraining(*policy, trace, train, policy_config);
   return policy;
+}
+
+std::unique_ptr<policy::FixedKeepAlivePolicy> MakeFixedScheduler(
+    const trace::WorkloadModel& model, MinuteDelta keepalive) {
+  return std::make_unique<policy::FixedKeepAlivePolicy>(
+      graph::UnitMap::PerFunction(model.num_functions()), keepalive);
+}
+
+std::unique_ptr<policy::PeriodicityPredictorPolicy> MakePredictorScheduler(
+    const trace::InvocationTrace& trace, const MiningOutput& mining,
+    TimeRange train, const policy::PredictorConfig& config) {
+  auto predictor = std::make_unique<policy::PeriodicityPredictorPolicy>(
+      graph::UnitMap::FromDependencySets(mining.sets, trace.num_functions()),
+      config);
+  SeedFromTraining(*predictor, trace, train, config.hybrid);
+  return predictor;
+}
+
+std::unique_ptr<policy::DiurnalPolicy> MakeDiurnalScheduler(
+    const trace::InvocationTrace& trace, const MiningOutput& mining,
+    TimeRange train, const policy::DiurnalConfig& config) {
+  auto diurnal = std::make_unique<policy::DiurnalPolicy>(
+      graph::UnitMap::FromDependencySets(mining.sets, trace.num_functions()),
+      config);
+  SeedFromTraining(*diurnal, trace, train, config.hybrid);
+  const graph::UnitMap& units = diurnal->unit_map();
+  for (std::size_t u = 0; u < units.num_units(); ++u) {
+    const UnitId unit{static_cast<std::uint32_t>(u)};
+    for (const FunctionId fn : units.functions_of(unit)) {
+      for (const auto& e : trace.SeriesInRange(fn, train)) {
+        diurnal->SeedDayProfile(unit, e.minute);
+      }
+    }
+  }
+  return diurnal;
 }
 
 }  // namespace defuse::core

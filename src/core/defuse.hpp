@@ -13,7 +13,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "common/result.hpp"
 #include "common/time.hpp"
@@ -24,7 +24,11 @@
 #include "mining/parallel.hpp"
 #include "mining/predictability.hpp"
 #include "mining/transactions.hpp"
+#include "policy/diurnal.hpp"
+#include "policy/fixed.hpp"
 #include "policy/hybrid.hpp"
+#include "policy/predictor.hpp"
+#include "stats/histogram.hpp"
 #include "trace/invocation_trace.hpp"
 #include "trace/model.hpp"
 
@@ -60,12 +64,6 @@ struct DefuseConfig {
   /// on, the platform feeds streaming accumulators and every mine is
   /// bit-identical to a full rebuild over the same window.
   mining::DeltaMineConfig delta;
-
-  /// Arena policy spec (see arena::PolicyRegistry), e.g. "hybrid:set" or
-  /// "spes:tier=cost". Empty = the classic fixed method selection; when
-  /// set, CLI simulation paths build the scheduler through the registry
-  /// instead.
-  std::string policy_spec;
 
   mining::PpmiConfig MakePpmiConfig() const {
     mining::PpmiConfig c;
@@ -105,9 +103,10 @@ struct MiningOutput {
 
 /// Cheap upper-bound proxy for the miner's workload over `window`: the
 /// number of active (function, minute) cells, which is the number of
-/// transaction entries the FP-Growth transaction builder will emit.
-/// Degradation budgets (platform::PlatformConfig::max_mining_transactions,
-/// AdaptiveConfig::max_mining_transactions) compare against this.
+/// transaction entries the FP-Growth transaction builder will emit. The
+/// re-mining degradation budget
+/// (platform::PlatformConfig::max_mining_transactions) compares against
+/// this.
 [[nodiscard]] std::uint64_t EstimateMiningTransactions(
     const trace::InvocationTrace& trace, TimeRange window);
 
@@ -131,6 +130,22 @@ struct MiningOutput {
     const trace::InvocationTrace& trace, const trace::WorkloadModel& model,
     TimeRange train, const DefuseConfig& config,
     const mining::DeltaMiningInput* delta_input);
+
+/// Every unit's idle-time histogram over `window`: the gaps between
+/// consecutive minutes in which any member fires, in the histogram shape
+/// of `policy_config`. One entry per unit, in unit order. This is the
+/// only place training histograms are built; every factory below and
+/// the platform's re-mines seed from it.
+[[nodiscard]] std::vector<stats::Histogram> TrainingHistograms(
+    const trace::InvocationTrace& trace, const graph::UnitMap& units,
+    TimeRange window, const policy::HybridConfig& policy_config);
+
+/// The hybrid policy over `units`, each unit seeded with its entry of
+/// `histograms` (TrainingHistograms output) when that entry is non-empty.
+[[nodiscard]] std::unique_ptr<policy::HybridHistogramPolicy>
+MakeSeededScheduler(graph::UnitMap units,
+                    const std::vector<stats::Histogram>& histograms,
+                    const policy::HybridConfig& policy_config);
 
 /// Stage 3: builds the dependency-set-granularity scheduler, with every
 /// set's idle-time histogram seeded from the training window.
@@ -159,5 +174,22 @@ MakeHybridApplicationScheduler(const trace::InvocationTrace& trace,
                                const trace::WorkloadModel& model,
                                TimeRange train,
                                const policy::HybridConfig& policy_config = {});
+
+/// The fixed keep-alive baseline, one unit per function.
+[[nodiscard]] std::unique_ptr<policy::FixedKeepAlivePolicy> MakeFixedScheduler(
+    const trace::WorkloadModel& model, MinuteDelta keepalive);
+
+/// §VII policy extensions over the mined dependency sets. Both embed the
+/// hybrid policy, whose histograms are seeded from the training window;
+/// the diurnal policy also learns its day profiles from the training
+/// invocations.
+[[nodiscard]] std::unique_ptr<policy::PeriodicityPredictorPolicy>
+MakePredictorScheduler(const trace::InvocationTrace& trace,
+                       const MiningOutput& mining, TimeRange train,
+                       const policy::PredictorConfig& config = {});
+
+[[nodiscard]] std::unique_ptr<policy::DiurnalPolicy> MakeDiurnalScheduler(
+    const trace::InvocationTrace& trace, const MiningOutput& mining,
+    TimeRange train, const policy::DiurnalConfig& config = {});
 
 }  // namespace defuse::core

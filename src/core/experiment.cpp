@@ -3,33 +3,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "policy/diurnal.hpp"
-#include "policy/fixed.hpp"
-#include "policy/predictor.hpp"
 #include "stats/descriptive.hpp"
 
 namespace defuse::core {
-namespace {
-
-/// Seeds a policy's per-unit histograms from training group idle times —
-/// the same procedure core::MakeDefuseScheduler applies to the hybrid
-/// policy.
-template <typename Policy>
-void SeedGroupHistograms(Policy& policy, const policy::HybridConfig& config,
-                         const trace::InvocationTrace& trace,
-                         TimeRange train) {
-  mining::PredictabilityConfig shape;
-  shape.histogram_bins = config.histogram_bins;
-  shape.histogram_bin_width = config.histogram_bin_width;
-  for (std::size_t u = 0; u < policy.unit_map().num_units(); ++u) {
-    const UnitId unit{static_cast<std::uint32_t>(u)};
-    const auto hist = mining::BuildGroupItHistogram(
-        trace, policy.unit_map().functions_of(unit), train, shape);
-    if (hist.total() > 0) policy.SeedHistogram(unit, hist);
-  }
-}
-
-}  // namespace
 
 const char* MethodName(Method method) noexcept {
   switch (method) {
@@ -126,41 +102,17 @@ MethodResult ExperimentDriver::Run(Method method, double amplification,
     case Method::kFixedKeepAlive: {
       const auto keepalive = static_cast<MinuteDelta>(
           static_cast<double>(policy_config.fixed_keepalive) * amplification);
-      policy = std::make_unique<policy::FixedKeepAlivePolicy>(
-          graph::UnitMap::PerFunction(model_.num_functions()),
-          std::max<MinuteDelta>(keepalive, 1));
+      policy = MakeFixedScheduler(model_, std::max<MinuteDelta>(keepalive, 1));
       break;
     }
-    case Method::kDefusePredictor: {
-      policy::PredictorConfig config;
-      config.hybrid = policy_config;
-      auto predictor = std::make_unique<policy::PeriodicityPredictorPolicy>(
-          graph::UnitMap::FromDependencySets(MiningFor(method).sets,
-                                           model_.num_functions()),
-          config);
-      SeedGroupHistograms(*predictor, policy_config, trace_, train_);
-      policy = std::move(predictor);
+    case Method::kDefusePredictor:
+      policy = MakePredictorScheduler(trace_, MiningFor(method), train_,
+                                      {.hybrid = policy_config});
       break;
-    }
-    case Method::kDefuseDiurnal: {
-      policy::DiurnalConfig config;
-      config.hybrid = policy_config;
-      auto diurnal = std::make_unique<policy::DiurnalPolicy>(
-          graph::UnitMap::FromDependencySets(MiningFor(method).sets,
-                                           model_.num_functions()),
-          config);
-      SeedGroupHistograms(*diurnal, policy_config, trace_, train_);
-      for (std::size_t u = 0; u < diurnal->unit_map().num_units(); ++u) {
-        const UnitId unit{static_cast<std::uint32_t>(u)};
-        for (const FunctionId fn : diurnal->unit_map().functions_of(unit)) {
-          for (const auto& e : trace_.SeriesInRange(fn, train_)) {
-            diurnal->SeedDayProfile(unit, e.minute);
-          }
-        }
-      }
-      policy = std::move(diurnal);
+    case Method::kDefuseDiurnal:
+      policy = MakeDiurnalScheduler(trace_, MiningFor(method), train_,
+                                    {.hybrid = policy_config});
       break;
-    }
   }
 
   const sim::SimulationResult sim_result =

@@ -101,7 +101,9 @@ std::string DependencyGraph::ToDot(
     if (names != nullptr && fn.value() < names->size()) {
       return (*names)[fn.value()];
     }
-    return "f" + std::to_string(fn.value());
+    std::string name = "f";
+    name += std::to_string(fn.value());
+    return name;
   };
   std::string out = "digraph dependencies {\n";
   for (const auto& e : edges_) {

@@ -210,15 +210,8 @@ Platform::MinedSwap Platform::MineWindow(
       graph::UnitMap::FromDependencySets(mining.sets,
                                        model_.num_functions()));
   // Seed histograms for the fresh per-set units from the same window.
-  mining::PredictabilityConfig shape;
-  shape.histogram_bins = config_.policy.histogram_bins;
-  shape.histogram_bin_width = config_.policy.histogram_bin_width;
-  swap.histograms.reserve(swap.units->num_units());
-  for (std::size_t u = 0; u < swap.units->num_units(); ++u) {
-    const UnitId unit{static_cast<std::uint32_t>(u)};
-    swap.histograms.push_back(mining::BuildGroupItHistogram(
-        history, swap.units->functions_of(unit), window, shape));
-  }
+  swap.histograms =
+      core::TrainingHistograms(history, *swap.units, window, config_.policy);
   swap.mined_ok = true;
   return swap;
 }
@@ -233,16 +226,10 @@ void Platform::AdoptMinedSwap(MinedSwap swap) {
     return;
   }
   units_ = std::move(swap.units);
-  policy_ = std::make_unique<policy::HybridHistogramPolicy>(*units_,
-                                                            config_.policy);
   // Residency windows are per function and survive untouched: nothing
   // warm is evicted by a re-mine.
-  for (std::size_t u = 0; u < units_->num_units(); ++u) {
-    if (swap.histograms[u].total() > 0) {
-      policy_->SeedHistogram(UnitId{static_cast<std::uint32_t>(u)},
-                             swap.histograms[u]);
-    }
-  }
+  policy_ = core::MakeSeededScheduler(*units_, swap.histograms,
+                                      config_.policy);
   unit_last_invoked_.assign(units_->num_units(), -1);
   unit_cold_this_minute_.assign(units_->num_units(), false);
   ++stats_.remines;

@@ -4,8 +4,10 @@
 // integration takes (paper §VII): invocations arrive one by one through
 // Invoke(), the dependency miner runs as a periodic background daemon
 // over a sliding history window, and the scheduler's dependency sets are
-// swapped live — *without* evicting what is already resident (unlike
-// core::RunAdaptive, whose epoch simulation restarts cold).
+// swapped live — *without* evicting what is already resident. It is the
+// tree's one sliding-window re-mining path (`defuse replay` and `defuse
+// serve` both drive it); each fresh scheduler is built and seeded by the
+// same core:: factories the offline experiments use.
 //
 //   platform::Platform p{model, config};
 //   for (each request in arrival order) {

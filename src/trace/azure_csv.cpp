@@ -169,7 +169,10 @@ Result<LoadedTrace> ReadLongCsv(std::string_view buffer,
 std::string WriteAzureDayCsv(const WorkloadModel& model,
                              const InvocationTrace& trace, Minute day) {
   std::string out = "HashOwner,HashApp,HashFunction,Trigger";
-  for (int m = 1; m <= 1440; ++m) out += "," + std::to_string(m);
+  for (int m = 1; m <= 1440; ++m) {
+    out += ',';
+    out += std::to_string(m);
+  }
   out += "\n";
 
   const TimeRange day_range{day * kMinutesPerDay, (day + 1) * kMinutesPerDay};

@@ -82,6 +82,56 @@ TEST(PolicyRegistry, HybridSetMatchesDirectConstructionByteForByte) {
   EXPECT_EQ(a.function_cold_minutes, b.function_cold_minutes);
 }
 
+bool SameSimulation(const sim::SimulationResult& a,
+                    const sim::SimulationResult& b) {
+  return a.unit_invoked_minutes == b.unit_invoked_minutes &&
+         a.unit_cold_minutes == b.unit_cold_minutes &&
+         a.loaded_functions == b.loaded_functions &&
+         a.loading_functions == b.loading_functions &&
+         a.loaded_weight == b.loaded_weight &&
+         a.function_invocation_minutes == b.function_invocation_minutes &&
+         a.function_cold_minutes == b.function_cold_minutes;
+}
+
+TEST(PolicyRegistry, SpesTiersArePresetsOfTheHybridFunctionPolicy) {
+  const auto f = MakeFixture();
+  const auto ctx = ContextOf(f);
+  auto hybrid = PolicyRegistry::Builtin().Build(ctx, "hybrid:function");
+  ASSERT_TRUE(hybrid.ok());
+  const auto* reference =
+      dynamic_cast<policy::HybridHistogramPolicy*>(hybrid.value().get());
+  ASSERT_NE(reference, nullptr);
+
+  // The balanced tier is the hybrid policy's own defaults. (Compare the
+  // seeded histograms before simulating: the simulation keeps updating
+  // them online.)
+  auto balanced = PolicyRegistry::Builtin().Build(ctx, "spes:tier=balanced");
+  ASSERT_TRUE(balanced.ok());
+  const auto* spes =
+      dynamic_cast<policy::HybridHistogramPolicy*>(balanced.value().get());
+  ASSERT_NE(spes, nullptr);
+  EXPECT_EQ(spes->SerializeHistograms(), reference->SerializeHistograms());
+  const auto expected =
+      sim::Simulate(f.workload.trace, f.eval, *hybrid.value());
+  EXPECT_TRUE(SameSimulation(
+      sim::Simulate(f.workload.trace, f.eval, *balanced.value()), expected));
+  EXPECT_EQ(spes->SerializeHistograms(), reference->SerializeHistograms());
+
+  // The other tiers still move the schedule: latency buys residency,
+  // cost gives it up.
+  const auto simulate_tier = [&](const char* spec) {
+    auto tier = PolicyRegistry::Builtin().Build(ctx, spec);
+    EXPECT_TRUE(tier.ok()) << spec;
+    return sim::Simulate(f.workload.trace, f.eval, *tier.value());
+  };
+  const auto latency = simulate_tier("spes:tier=latency");
+  const auto cost = simulate_tier("spes:tier=cost");
+  EXPECT_FALSE(SameSimulation(latency, expected));
+  EXPECT_FALSE(SameSimulation(cost, expected));
+  EXPECT_GT(latency.AverageMemoryUsage(), expected.AverageMemoryUsage());
+  EXPECT_LT(cost.AverageMemoryUsage(), expected.AverageMemoryUsage());
+}
+
 TEST(PolicyRegistry, VariantAliasesBuildTheSamePolicy) {
   const auto f = MakeFixture();
   const auto ctx = ContextOf(f);

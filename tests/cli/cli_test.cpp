@@ -232,24 +232,25 @@ TEST_F(CliTest, FilterFirstDays) {
   EXPECT_NE(r.out.find("over 2 days"), std::string::npos);
 }
 
-TEST_F(CliTest, AdaptiveRunsEpochs) {
-  Generate();
-  const auto r = RunDefuse({"adaptive", "--trace", trace_path_,
-                            "--last-days", "2", "--epoch-days", "1",
-                            "--window-days", "2"});
-  ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("epoch,mined_days"), std::string::npos);
-  EXPECT_NE(r.out.find("aggregate: p75"), std::string::npos);
-  // Two epochs: rows 0 and 1.
-  EXPECT_NE(r.out.find("\n0,"), std::string::npos);
-  EXPECT_NE(r.out.find("\n1,"), std::string::npos);
+TEST(SplitSpecList, SplitsSpecsThatCarryParameters) {
+  EXPECT_EQ(SplitSpecList("hybrid:set,spes:tier=cost"),
+            (std::vector<std::string>{"hybrid:set", "spes:tier=cost"}));
+  EXPECT_EQ(SplitSpecList("spes:tier=latency,spes:tier=cost"),
+            (std::vector<std::string>{"spes:tier=latency", "spes:tier=cost"}));
 }
 
-TEST_F(CliTest, AdaptiveRejectsBadEpochs) {
-  Generate();
-  const auto r = RunDefuse({"adaptive", "--trace", trace_path_,
-                            "--epoch-days", "0"});
-  EXPECT_EQ(r.code, 1);
+TEST(SplitSpecList, JoinsAParameterToThePreviousSpec) {
+  EXPECT_EQ(SplitSpecList("hiku:delay=2,window=3"),
+            (std::vector<std::string>{"hiku:delay=2,window=3"}));
+}
+
+TEST_F(CliTest, ArenaRunsAListOfParameterisedSpecs) {
+  const auto r = RunDefuse({"arena", "--policies", "hybrid:set,spes:tier=cost",
+                            "--scenarios", "flat_poisson", "--users", "4",
+                            "--days", "2"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("flat_poisson,hybrid:set,"), std::string::npos);
+  EXPECT_NE(r.out.find("flat_poisson,spes:tier=cost,"), std::string::npos);
 }
 
 TEST_F(CliTest, CompareRunsTheHeadlineComparison) {

@@ -203,6 +203,23 @@ TEST(MakeBaselineSchedulers, GranularitiesMatch) {
   EXPECT_EQ(ha->unit_map().num_units(), w.model.num_apps());
 }
 
+TEST(EstimateMiningTransactions, CountsActiveCells) {
+  trace::WorkloadModel model;
+  const UserId u = model.AddUser("u");
+  const AppId a = model.AddApp(u, "a");
+  const FunctionId f0 = model.AddFunction(a, "f0");
+  const FunctionId f1 = model.AddFunction(a, "f1");
+  trace::InvocationTrace trace{2, TimeRange{0, 100}};
+  trace.Add(f0, 1, 5);   // one active cell (count does not matter)
+  trace.Add(f0, 2, 1);
+  trace.Add(f1, 2, 1);
+  trace.Add(f1, 50, 1);
+  trace.Finalize();
+  EXPECT_EQ(EstimateMiningTransactions(trace, TimeRange{0, 100}), 4u);
+  EXPECT_EQ(EstimateMiningTransactions(trace, TimeRange{0, 10}), 3u);
+  EXPECT_EQ(EstimateMiningTransactions(trace, TimeRange{60, 100}), 0u);
+}
+
 TEST(SplitTrainEval, TwelveTwoSplitOfFourteenDays) {
   const auto [train, eval] =
       SplitTrainEval(TimeRange{0, 14 * kMinutesPerDay});

@@ -4,9 +4,9 @@
 // all-at-once bursts, and empty windows.
 #include <gtest/gtest.h>
 
-#include "core/adaptive.hpp"
 #include "core/defuse.hpp"
 #include "core/experiment.hpp"
+#include "platform/platform.hpp"
 
 namespace defuse::core {
 namespace {
@@ -130,16 +130,24 @@ TEST(Robustness, ManyUsersOneFunctionEach) {
 }
 
 TEST(Robustness, AdaptiveOnSilentSpan) {
+  // The daily re-mining daemon over days with no traffic at all: every
+  // boundary still re-mines (over an empty window), nothing is invoked,
+  // and the function stays a singleton unit.
   trace::WorkloadModel model;
   const UserId u = model.AddUser("u");
   const AppId a = model.AddApp(u, "a");
   model.AddFunction(a, "f");
-  trace::InvocationTrace trace{1, TimeRange{0, 3 * kMinutesPerDay}};
-  trace.Finalize();
-  const auto result = RunAdaptive(
-      model, trace, TimeRange{kMinutesPerDay, 3 * kMinutesPerDay});
-  EXPECT_EQ(result.epochs.size(), 2u);
-  EXPECT_TRUE(result.FunctionColdStartRates().empty());
+  platform::PlatformConfig config;
+  config.horizon = 3 * kMinutesPerDay;
+  platform::Platform engine{model, config};
+  engine.AdvanceTo(kMinutesPerDay);
+  engine.AdvanceTo(2 * kMinutesPerDay);
+  engine.AdvanceTo(3 * kMinutesPerDay - 1);
+  EXPECT_EQ(engine.stats().remines, 2u);
+  EXPECT_EQ(engine.stats().degraded_remines, 0u);
+  EXPECT_EQ(engine.stats().invocations, 0u);
+  EXPECT_DOUBLE_EQ(engine.stats().cold_fraction(), 0.0);
+  EXPECT_EQ(engine.units().num_units(), 1u);
 }
 
 TEST(ValidateDefuseConfig, AcceptsDefaults) {

@@ -152,6 +152,33 @@ TEST(Platform, OnlineDefuseKeepsUnpredictableFunctionWarm) {
             0.1);
 }
 
+TEST(Platform, DailyRemineAdaptsToAMidTraceDeployment) {
+  // A new unpredictable workflow (fe) is deployed at day 4 and pings the
+  // periodic service on each firing. The bootstrap graph and every mine
+  // before day 5 never saw it; the daily re-mine over the trailing 4-day
+  // window links it to the service, whose warm pool then carries it.
+  Fixture fx;
+  Platform p{fx.model, TestConfig()};
+  Rng rng{5};
+  double fe_next = 4.0 * kMinutesPerDay;
+  std::uint64_t invoked = 0, cold = 0;
+  for (Minute t = 0; t < 8 * kMinutesPerDay; ++t) {
+    if (t % 10 == 0) (void)p.Invoke(fx.svc, t);
+    while (static_cast<Minute>(fe_next) == t) {
+      const bool fe_cold = p.Invoke(fx.fe, t).cold;
+      (void)p.Invoke(fx.svc, t);
+      if (t >= 5 * kMinutesPerDay) {
+        ++invoked;
+        cold += fe_cold ? 1 : 0;
+      }
+      fe_next += 40.0 * rng.NextExponential(1.0);
+    }
+  }
+  EXPECT_EQ(p.units().unit_of(fx.fe), p.units().unit_of(fx.svc));
+  ASSERT_GT(invoked, 0u);
+  EXPECT_LT(static_cast<double>(cold) / static_cast<double>(invoked), 0.3);
+}
+
 TEST(Platform, ResidencySurvivesARemine) {
   Fixture fx;
   auto cfg = TestConfig();

@@ -26,6 +26,7 @@
 // its aggregate crash/restart/retry counters there
 // (tools/tier1_soak.sh turns that into BENCH_soak.json).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -141,7 +142,10 @@ ShardSoakTally RunShardSoak(std::uint64_t seed) {
   const auto gen = Gen(seed);
   const trace::SyntheticWorkload workload = trace::GenerateWorkload(gen);
   const auto cfg = SoakConfig(gen.horizon_minutes);
-  TempDir dir{"defuse_shard_soak_" + std::to_string(seed)};
+  // Both soak tests run seed 0; the pid keeps their journals apart when
+  // ctest runs them concurrently.
+  TempDir dir{"defuse_shard_soak_" + std::to_string(::getpid()) + "_" +
+              std::to_string(seed)};
 
   // The mid-soak handoff destination. Declared before the tier so it
   // outlives the router that ends up pointing at it.

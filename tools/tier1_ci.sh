@@ -3,7 +3,9 @@
 #
 #   tools/tier1_ci.sh [build-dir]                # default: build-ci
 #
-#   1. configure + build everything
+#   1. configure + build everything; then configure + build the Release
+#      configuration (tests off) in <build-dir>-rel, so the -O3 build a
+#      user would ship stays warning-clean under src/'s -Werror
 #   2. run the full ctest suite (tier-1 correctness)
 #   3. run the durability/chaos suites in isolation (`ctest -L
 #      durability`) so a fault-injection regression is named, not buried
@@ -37,6 +39,11 @@ SRC_DIR="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 echo "== configure + build =="
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 4)"
+
+echo "== Release configure + build (tests off) =="
+cmake -B "$BUILD_DIR-rel" -S "$SRC_DIR" -DCMAKE_BUILD_TYPE=Release \
+  -DDEFUSE_BUILD_TESTS=OFF
+cmake --build "$BUILD_DIR-rel" -j "$(nproc 2>/dev/null || echo 4)"
 
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc 2>/dev/null || echo 4)"
