@@ -30,8 +30,8 @@ int main() {
   std::size_t biggest_size = 0;
   for (const auto& app : model.apps()) {
     if (app.functions.size() < 2) continue;
-    const auto gaps = trace.GroupIdleTimes(app.functions, horizon);
-    const double app_minutes = static_cast<double>(gaps.size()) + 1.0;
+    const auto app_minutes = static_cast<double>(
+        trace.GroupActiveMinutes(app.functions, horizon));
     if (app_minutes < 50) continue;
     for (const FunctionId fn : app.functions) {
       frequencies.push_back(
@@ -70,9 +70,8 @@ int main() {
               "application (%zu functions)\n", biggest_size);
   std::vector<double> app_freqs;
   const auto& app = model.app(biggest_app);
-  const double app_minutes =
-      static_cast<double>(
-          trace.GroupIdleTimes(app.functions, horizon).size()) + 1.0;
+  const auto app_minutes =
+      static_cast<double>(trace.GroupActiveMinutes(app.functions, horizon));
   for (const FunctionId fn : app.functions) {
     app_freqs.push_back(
         static_cast<double>(trace.ActiveMinutes(fn, horizon)) / app_minutes);

@@ -18,10 +18,10 @@ FrequencySkewReport AnalyzeFrequencySkew(const WorkloadModel& model,
   std::size_t largest_size = 0;
   for (const auto& app : model.apps()) {
     if (app.functions.size() < 2) continue;
-    // Group idle times have (active minutes - 1) entries.
-    const auto app_minutes =
-        trace.GroupIdleTimes(app.functions, range).size() + 1;
-    if (app_minutes < min_app_minutes) continue;
+    const std::uint64_t app_minutes =
+        trace.GroupActiveMinutes(app.functions, range);
+    // An app never active in range has no within-app frequencies.
+    if (app_minutes == 0 || app_minutes < min_app_minutes) continue;
     for (const FunctionId fn : app.functions) {
       report.frequencies.push_back(
           static_cast<double>(trace.ActiveMinutes(fn, range)) /
@@ -36,8 +36,8 @@ FrequencySkewReport AnalyzeFrequencySkew(const WorkloadModel& model,
                                                        0.25);
   if (report.largest_app.valid()) {
     const auto& app = model.app(report.largest_app);
-    const auto app_minutes =
-        trace.GroupIdleTimes(app.functions, range).size() + 1;
+    const std::uint64_t app_minutes =
+        trace.GroupActiveMinutes(app.functions, range);
     for (const FunctionId fn : app.functions) {
       report.largest_app_frequencies.push_back(
           static_cast<double>(trace.ActiveMinutes(fn, range)) /

@@ -24,7 +24,7 @@ stats::Histogram BuildGroupItHistogram(const trace::InvocationTrace& trace,
 bool IsPredictable(const stats::Histogram& hist,
                    const PredictabilityConfig& config) {
   if (hist.total() < config.min_observations) return false;
-  return hist.BinCountCv() > config.cv_threshold;
+  return hist.BinCountCvExceeds(config.cv_threshold);
 }
 
 PredictabilityReport ClassifyFunctions(const trace::InvocationTrace& trace,

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <string>
-#include <unordered_set>
+#include <utility>
 
 namespace defuse::mining {
 
@@ -12,23 +11,27 @@ std::vector<Transaction> BuildUserTransactions(
     const trace::InvocationTrace& trace, const trace::WorkloadModel& model,
     UserId user, TimeRange range, const TransactionConfig& config) {
   assert(config.window_minutes >= 1);
-  // window index -> set of active functions. A map keeps the windows in
-  // time order without materializing the (mostly empty) dense range.
-  std::map<Minute, Transaction> windows;
+  // (window index, function) for every active minute; sorting groups the
+  // windows in time order with their functions ascending, without
+  // materializing the (mostly empty) dense range.
+  std::vector<std::pair<Minute, FunctionId>> cells;
   for (const FunctionId fn : model.FunctionsOfUser(user)) {
     for (const auto& e : trace.SeriesInRange(fn, range)) {
-      const Minute w = (e.minute - range.begin) / config.window_minutes;
-      windows[w].push_back(fn);
+      cells.emplace_back((e.minute - range.begin) / config.window_minutes,
+                         fn);
     }
   }
+  std::sort(cells.begin(), cells.end());
+  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
   std::vector<Transaction> transactions;
-  transactions.reserve(windows.size());
-  for (auto& [w, items] : windows) {
-    std::sort(items.begin(), items.end());
-    items.erase(std::unique(items.begin(), items.end()), items.end());
+  Transaction items;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    items.push_back(cells[i].second);
+    if (i + 1 < cells.size() && cells[i + 1].first == cells[i].first) continue;
     if (items.size() >= config.min_items) {
       transactions.push_back(std::move(items));
     }
+    items.clear();
   }
   return transactions;
 }
@@ -74,13 +77,20 @@ Result<std::vector<UniverseWindow>> SplitUniverse(
 std::vector<Transaction> ProjectTransactions(
     const std::vector<Transaction>& transactions,
     const UniverseWindow& window, std::size_t min_items) {
-  const std::unordered_set<FunctionId> members{window.functions.begin(),
-                                               window.functions.end()};
+  // Dense membership table indexed by id, sized by the largest id.
+  std::size_t table_size = 0;
+  for (const FunctionId fn : window.functions) {
+    table_size = std::max<std::size_t>(table_size, std::size_t{fn.value()} + 1);
+  }
+  std::vector<char> members(table_size, 0);
+  for (const FunctionId fn : window.functions) members[fn.value()] = 1;
   std::vector<Transaction> projected;
   for (const Transaction& t : transactions) {
     Transaction kept;
     for (const FunctionId fn : t) {
-      if (members.contains(fn)) kept.push_back(fn);
+      if (fn.value() < members.size() && members[fn.value()] != 0) {
+        kept.push_back(fn);
+      }
     }
     if (kept.size() >= min_items) projected.push_back(std::move(kept));
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <numeric>
 
 namespace defuse::policy {
@@ -11,13 +12,21 @@ DiurnalPolicy::DiurnalPolicy(graph::UnitMap units, DiurnalConfig config)
   assert(kMinutesPerDay % config_.slot_minutes == 0);
   const auto n = hybrid_.unit_map().num_units();
   day_profile_.assign(n, std::vector<std::uint64_t>(NumSlots(), 0));
+  ranked_profile_ = day_profile_;
+  profile_total_.assign(n, 0);
   active_mask_.assign(n, std::vector<bool>(NumSlots(), false));
   mask_valid_.assign(n, false);
   is_diurnal_.assign(n, false);
 }
 
 void DiurnalPolicy::SeedDayProfile(UnitId unit, Minute invocation_minute) {
-  ++day_profile_[unit.value()][SlotOf(invocation_minute)];
+  std::uint64_t& count = day_profile_[unit.value()][SlotOf(invocation_minute)];
+  // Bump the first ranked entry equal to the old count: every entry
+  // before it is larger, so the list stays in descending order.
+  auto& ranked = ranked_profile_[unit.value()];
+  ++*std::lower_bound(ranked.begin(), ranked.end(), count, std::greater<>{});
+  ++count;
+  ++profile_total_[unit.value()];
   mask_valid_[unit.value()] = false;
 }
 
@@ -27,41 +36,43 @@ void DiurnalPolicy::ObserveIdleTime(UnitId unit, MinuteDelta gap) {
 
 void DiurnalPolicy::RefreshMask(UnitId unit) const {
   if (mask_valid_[unit.value()]) return;
-  const auto& profile = day_profile_[unit.value()];
+  mask_valid_[unit.value()] = true;
   auto& mask = active_mask_[unit.value()];
-  const std::uint64_t total =
-      std::accumulate(profile.begin(), profile.end(), std::uint64_t{0});
   std::fill(mask.begin(), mask.end(), false);
   is_diurnal_[unit.value()] = false;
-  if (total >= config_.min_observations) {
-    // Take slots in descending count until `concentration` of the mass
-    // is covered; the unit is diurnal if that needs at most
-    // active_slot_fraction of the slots.
-    std::vector<std::size_t> order(profile.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return profile[a] > profile[b];
-    });
-    std::uint64_t covered = 0;
-    std::size_t used = 0;
-    for (const std::size_t slot : order) {
-      if (static_cast<double>(covered) >=
-          config_.concentration * static_cast<double>(total)) {
-        break;
-      }
-      if (profile[slot] == 0) break;
-      mask[slot] = true;
-      covered += profile[slot];
-      ++used;
-    }
-    is_diurnal_[unit.value()] =
-        static_cast<double>(covered) >=
-            config_.concentration * static_cast<double>(total) &&
-        static_cast<double>(used) <=
-            config_.active_slot_fraction *
-                static_cast<double>(profile.size());
+  const std::uint64_t total = profile_total_[unit.value()];
+  if (total < config_.min_observations) return;
+
+  // Take slots in descending count until `concentration` of the mass is
+  // covered; the unit is diurnal if that needs at most
+  // active_slot_fraction of the slots. Only the counts matter here, and
+  // ranked_profile_ holds them in that order.
+  const double needed = config_.concentration * static_cast<double>(total);
+  std::uint64_t covered = 0;
+  std::size_t used = 0;
+  for (const std::uint64_t count : ranked_profile_[unit.value()]) {
+    if (static_cast<double>(covered) >= needed || count == 0) break;
+    covered += count;
+    ++used;
   }
-  mask_valid_[unit.value()] = true;
+  const std::size_t slots = mask.size();
+  is_diurnal_[unit.value()] =
+      static_cast<double>(covered) >= needed &&
+      static_cast<double>(used) <=
+          config_.active_slot_fraction * static_cast<double>(slots);
+  if (!is_diurnal_[unit.value()]) return;
+
+  // Which of several tied slots become active is the order std::sort
+  // leaves them in. That order is unspecified and differs between
+  // standard libraries, but it is what the published outputs use, so
+  // the mask keeps this sort rather than a stable one.
+  const auto& profile = day_profile_[unit.value()];
+  std::vector<std::size_t> order(slots);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return profile[a] > profile[b];
+  });
+  for (std::size_t i = 0; i < used; ++i) mask[order[i]] = true;
 }
 
 bool DiurnalPolicy::IsDiurnalUnit(UnitId unit) const {

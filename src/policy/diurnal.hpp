@@ -59,7 +59,7 @@ class DiurnalPolicy final : public policy::SchedulingPolicy {
   /// True if the unit currently takes the day-profile branch.
   [[nodiscard]] bool IsDiurnalUnit(UnitId unit) const;
   /// Whether the slot containing minute-of-day `mod` is active for the
-  /// unit (exposed for tests).
+  /// unit (exposed for tests). Only diurnal units have active slots.
   [[nodiscard]] bool SlotActive(UnitId unit, Minute minute_of_day) const;
 
  private:
@@ -70,13 +70,18 @@ class DiurnalPolicy final : public policy::SchedulingPolicy {
   [[nodiscard]] std::size_t NumSlots() const noexcept {
     return static_cast<std::size_t>(kMinutesPerDay / config_.slot_minutes);
   }
-  /// Recomputes the active-slot mask for a unit (lazy, on decision).
+  /// Reclassifies a unit and, if it is diurnal, recomputes its
+  /// active-slot mask (lazy, on decision).
   void RefreshMask(UnitId unit) const;
 
   HybridHistogramPolicy hybrid_;
   DiurnalConfig config_;
   /// Per unit: invocation counts per day slot.
   std::vector<std::vector<std::uint64_t>> day_profile_;
+  /// Per unit: the same counts in descending order, and their sum. The
+  /// diurnal test reads only these, so it needs no sort.
+  std::vector<std::vector<std::uint64_t>> ranked_profile_;
+  std::vector<std::uint64_t> profile_total_;
   mutable std::vector<std::vector<bool>> active_mask_;
   mutable std::vector<bool> mask_valid_;
   mutable std::vector<bool> is_diurnal_;

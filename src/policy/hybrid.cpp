@@ -45,7 +45,7 @@ bool HybridHistogramPolicy::IsPredictableUnit(UnitId unit) const {
   const stats::Histogram& hist = histograms_[unit.value()];
   if (hist.total() < config_.min_observations) return false;
   if (hist.out_of_bounds_fraction() > config_.oob_threshold) return false;
-  return hist.BinCountCv() > config_.cv_threshold;
+  return hist.BinCountCvExceeds(config_.cv_threshold);
 }
 
 policy::UnitDecision HybridHistogramPolicy::DecisionFor(UnitId unit) const {

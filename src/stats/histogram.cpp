@@ -9,6 +9,14 @@
 #include "common/logging.hpp"
 
 namespace defuse::stats {
+namespace {
+
+// While n <= 2^10 and T <= 2^26, every count is at most T, so Σc² <= T²
+// <= 2^52 and n·Σc² <= 2^62: the CV numerator is an exact u64.
+constexpr std::size_t kExactMaxBins = std::size_t{1} << 10;
+constexpr std::uint64_t kExactMaxTotal = std::uint64_t{1} << 26;
+
+}  // namespace
 
 Histogram::Histogram(std::size_t num_bins, MinuteDelta bin_width)
     : counts_(num_bins, 0), bin_width_(bin_width) {
@@ -40,8 +48,30 @@ void Histogram::AddCount(MinuteDelta value, std::uint64_t count) noexcept {
     out_of_bounds_ += count;
     return;
   }
-  counts_[bin] += count;
+  const std::uint64_t old = counts_[bin];
+  counts_[bin] = old + count;
   total_in_range_ += count;
+  sum_sq_ += count * (2 * old + count);  // (old + count)² - old²
+  // Counts only grow here, so only this bin can take the mode; ties go
+  // to the lowest bin.
+  if (counts_[bin] > mode_count_ ||
+      (counts_[bin] == mode_count_ && bin < mode_bin_)) {
+    mode_bin_ = bin;
+    mode_count_ = counts_[bin];
+  }
+}
+
+void Histogram::RecomputeMoments() noexcept {
+  sum_sq_ = 0;
+  mode_bin_ = 0;
+  mode_count_ = 0;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    sum_sq_ += counts_[i] * counts_[i];
+    if (counts_[i] > mode_count_) {
+      mode_bin_ = i;
+      mode_count_ = counts_[i];
+    }
+  }
 }
 
 void Histogram::Merge(const Histogram& other) {
@@ -53,6 +83,7 @@ void Histogram::Merge(const Histogram& other) {
   total_in_range_ += other.total_in_range_;
   out_of_bounds_ += other.out_of_bounds_;
   negative_count_ += other.negative_count_;
+  RecomputeMoments();
 }
 
 void Histogram::Clear() noexcept {
@@ -60,6 +91,9 @@ void Histogram::Clear() noexcept {
   total_in_range_ = 0;
   out_of_bounds_ = 0;
   negative_count_ = 0;
+  sum_sq_ = 0;
+  mode_bin_ = 0;
+  mode_count_ = 0;
 }
 
 double Histogram::out_of_bounds_fraction() const noexcept {
@@ -79,6 +113,25 @@ double Histogram::BinCountCv() const noexcept {
   }
   const double variance = sq / n;
   return std::sqrt(variance) / mean;
+}
+
+bool Histogram::BinCountCvExceeds(double threshold) const noexcept {
+  const std::uint64_t total = total_in_range_;
+  if (total == 0) return 0.0 > threshold;
+  const std::uint64_t n = counts_.size();
+  // A mode above the total means the u64 total wrapped (only corrupt or
+  // absurd counts get there), so Σc² is not exact either.
+  if (n > kExactMaxBins || total > kExactMaxTotal || mode_count_ > total) {
+    return BinCountCv() > threshold;
+  }
+  // n·Σc² >= T² by Cauchy-Schwarz, so the difference cannot wrap.
+  const double cv =
+      std::sqrt(static_cast<double>(n * sum_sq_ - total * total)) /
+      static_cast<double>(total);
+  if (std::abs(cv - threshold) <= 1e-9 * std::max(1.0, threshold)) {
+    return BinCountCv() > threshold;
+  }
+  return cv > threshold;
 }
 
 MinuteDelta Histogram::Percentile(double q) const noexcept {
@@ -205,19 +258,8 @@ bool Histogram::Deserialize(std::string_view text) {
       total_in_range_ += count;
     }
   }
+  RecomputeMoments();
   return true;
-}
-
-std::pair<std::size_t, std::uint64_t> Histogram::ModeBin() const noexcept {
-  std::size_t best = 0;
-  std::uint64_t count = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] > count) {
-      best = i;
-      count = counts_[i];
-    }
-  }
-  return {best, count};
 }
 
 double Histogram::ModeMassFraction(std::size_t radius) const noexcept {

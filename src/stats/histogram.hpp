@@ -81,8 +81,17 @@ class Histogram {
 
   /// Coefficient of variation of the bin-count vector
   /// (stddev(counts) / mean(counts), population stddev). Returns 0 for an
-  /// empty histogram. Out-of-bounds counts do not participate.
+  /// empty histogram. Out-of-bounds counts do not participate. O(bins).
   [[nodiscard]] double BinCountCv() const noexcept;
+
+  /// Exactly `BinCountCv() > threshold`, in O(1) on the common path: the
+  /// running sum of squared counts gives CV = sqrt(n*Σc² - T²) / T from
+  /// exact u64 integers (n bins, T = total_in_range). Falls back to the
+  /// BinCountCv() loop when n > 2^10 or T > 2^26 (the integers would no
+  /// longer be exact) and when the CV lies within 1e-9 * max(1,
+  /// threshold) of the threshold (the loop's own rounding error is
+  /// about n * 2^-53, so outside that band both sides agree).
+  [[nodiscard]] bool BinCountCvExceeds(double threshold) const noexcept;
 
   /// Value below which fraction q of in-range observations fall, i.e. the
   /// upper edge of the bin where the cumulative count first reaches
@@ -113,9 +122,12 @@ class Histogram {
   [[nodiscard]] bool Deserialize(std::string_view text);
 
   /// The most-populated bin: (bin index, count). For an empty histogram
-  /// returns (0, 0); ties resolve to the lowest bin.
+  /// returns (0, 0); ties resolve to the lowest bin. O(1): kept up to
+  /// date as counts change.
   [[nodiscard]] std::pair<std::size_t, std::uint64_t> ModeBin()
-      const noexcept;
+      const noexcept {
+    return {mode_bin_, mode_count_};
+  }
   /// Fraction of in-range observations that fall in bins
   /// [mode - radius, mode + radius] — how dominant the mode is. 0 if
   /// empty.
@@ -128,6 +140,14 @@ class Histogram {
   std::uint64_t total_in_range_ = 0;
   std::uint64_t out_of_bounds_ = 0;
   std::uint64_t negative_count_ = 0;
+  // Running moments, updated by AddCount and rebuilt by
+  // RecomputeMoments after bulk changes (Merge, Deserialize). Σc² wraps
+  // modulo 2^64 like the counts; it is read only while it is exact.
+  std::uint64_t sum_sq_ = 0;
+  std::size_t mode_bin_ = 0;
+  std::uint64_t mode_count_ = 0;
+
+  void RecomputeMoments() noexcept;
 };
 
 }  // namespace defuse::stats

@@ -92,6 +92,10 @@ class InvocationTrace {
   /// of an application (Hybrid-Application) or a dependency set (Defuse).
   [[nodiscard]] std::vector<MinuteDelta> GroupIdleTimes(
       std::span<const FunctionId> fns, TimeRange range) const;
+  /// Number of distinct minutes inside `range` in which any member of
+  /// the group is active (0 for a group with no activity).
+  [[nodiscard]] std::uint64_t GroupActiveMinutes(
+      std::span<const FunctionId> fns, TimeRange range) const;
 
   /// Builds the per-minute index over `range`.
   [[nodiscard]] MinuteIndex BuildMinuteIndex(TimeRange range) const;

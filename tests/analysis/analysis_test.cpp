@@ -59,6 +59,32 @@ TEST(AnalyzeFrequencySkew, SkipsTinyApps) {
   EXPECT_TRUE(report.frequencies.empty());  // only 2 active minutes < 50
 }
 
+TEST(AnalyzeFrequencySkew, AppWithNoActivityIsSkipped) {
+  // An idle app has zero active minutes: it must not enter the
+  // frequencies as zeros (min_app_minutes 1), nor divide by zero
+  // (min_app_minutes 0), nor be reported as the largest app.
+  trace::WorkloadModel model;
+  const UserId u = model.AddUser("u");
+  const AppId busy = model.AddApp(u, "busy");
+  const FunctionId f = model.AddFunction(busy, "f");
+  const FunctionId g = model.AddFunction(busy, "g");
+  const AppId idle = model.AddApp(u, "idle");
+  for (const char* name : {"x", "y", "z"}) model.AddFunction(idle, name);
+  trace::InvocationTrace t{5, TimeRange{0, 100}};
+  for (Minute m : {1, 2, 3, 4}) t.Add(f, m);
+  t.Add(g, 2);
+  t.Finalize();
+  for (const std::uint64_t min_app_minutes : {0u, 1u}) {
+    const auto report =
+        AnalyzeFrequencySkew(model, t, t.horizon(), min_app_minutes);
+    EXPECT_EQ(report.frequencies, (std::vector<double>{1.0, 0.25}))
+        << "min_app_minutes " << min_app_minutes;
+    EXPECT_EQ(report.largest_app, busy);
+    EXPECT_EQ(report.largest_app_frequencies,
+              (std::vector<double>{1.0, 0.25}));
+  }
+}
+
 TEST(AnalyzeFrequencySkew, LargestAppIsTracked) {
   Fixture fx;
   const auto report =

@@ -150,10 +150,8 @@ TEST(Generator, InvocationFrequencySkewExists) {
   const auto w = GenerateWorkload(cfg);
   std::vector<double> freqs;
   for (const auto& app : w.model.apps()) {
-    const auto app_active = w.trace.GroupIdleTimes(app.functions,
-                                                   w.trace.horizon());
-    const double app_minutes =
-        static_cast<double>(app_active.size()) + 1.0;
+    const auto app_minutes = static_cast<double>(
+        w.trace.GroupActiveMinutes(app.functions, w.trace.horizon()));
     if (app.functions.size() < 2 || app_minutes < 10) continue;
     for (const FunctionId fn : app.functions) {
       freqs.push_back(

@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
 # Builds the test suite with ASan+UBSan and runs the fault/chaos suites
 # (plus the ingestion and platform tests they lean on) instrumented,
-# and the serving suite whose frame-decoder fuzz table (truncations,
-# bit flips, oversize, garbage) is only meaningful if decoding never
-# over-reads.
+# the serving suite whose frame-decoder fuzz table (truncations, bit
+# flips, oversize, garbage) is only meaningful if decoding never
+# over-reads, and the stats, policy, mining and arena suites, whose
+# running histogram moments, rank-kept day profiles, bitmap group
+# merges and dense projection tables do index and unsigned arithmetic.
 #
 #   tools/tier1_sanitize.sh [build-dir]          # default: build-asan
 #
@@ -23,10 +25,10 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DDEFUSE_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 4)" \
   --target test_faults test_platform test_durability test_trace test_common \
-  test_core test_serving
+  test_core test_serving test_stats test_policy test_mining test_arena
 
 for t in test_faults test_platform test_durability test_trace test_common \
-    test_core test_serving; do
+    test_core test_serving test_stats test_policy test_mining test_arena; do
   echo "== $t (ASan+UBSan) =="
   "$BUILD_DIR/tests/$t"
 done
