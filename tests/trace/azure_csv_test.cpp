@@ -92,6 +92,49 @@ TEST(LongCsv, SameFunctionNameInDifferentAppsStaysDistinct) {
   EXPECT_EQ(loaded.value().model.num_apps(), 2u);
 }
 
+TEST(LongCsv, PipeInNamesDoesNotMergeEntities) {
+  // Joined with '|', both rows would name app "a|b|c" and function
+  // "a|b|c|f"; as comma-delimited row prefixes they differ.
+  const std::string csv =
+      "user,app,function,minute,count\n"
+      "a|b,c,f,1,1\n"
+      "a,b|c,f,2,1\n";
+  const auto loaded = ReadLongCsv(csv);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
+  const auto& model = loaded.value().model;
+  EXPECT_EQ(model.num_users(), 2u);
+  ASSERT_EQ(model.num_apps(), 2u);
+  ASSERT_EQ(model.num_functions(), 2u);
+  EXPECT_EQ(model.user(UserId{1}).name, "a");
+  EXPECT_EQ(model.app(AppId{1}).name, "b|c");
+  EXPECT_EQ(model.app(AppId{1}).user, UserId{1});
+  EXPECT_EQ(model.function(FunctionId{1}).app, AppId{1});
+  ASSERT_EQ(loaded.value().trace.series(FunctionId{1}).size(), 1u);
+  EXPECT_EQ(loaded.value().trace.series(FunctionId{1})[0].minute, 2);
+}
+
+TEST(LongCsv, FarMinutesAreNotDuplicatesOfOtherFunctions) {
+  // Minute 2^40 of f and minute 0 of g are different cells.
+  const std::string csv =
+      "user,app,function,minute,count\n"
+      "u,a,f,1099511627776,1\n"
+      "u,a,g,0,1\n";
+  const auto loaded = ReadLongCsv(csv);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
+  const auto& lt = loaded.value();
+  ASSERT_EQ(lt.model.num_functions(), 2u);
+  EXPECT_EQ(lt.trace.horizon().end, Minute{1} << 40 | 1);
+  ASSERT_EQ(lt.trace.series(FunctionId{0}).size(), 1u);
+  EXPECT_EQ(lt.trace.series(FunctionId{0})[0].minute, Minute{1} << 40);
+  ASSERT_EQ(lt.trace.series(FunctionId{1}).size(), 1u);
+  EXPECT_EQ(lt.trace.series(FunctionId{1})[0].minute, 0);
+
+  // A real duplicate that far out is still one.
+  const auto dup = ReadLongCsv(csv + "u,a,f,1099511627776,2\n");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.error().message, "line 4: duplicate (function, minute) row");
+}
+
 TEST(AzureCsv, DayFileHasHeaderAnd1444Columns) {
   const auto w = MakeTinyWorkload();
   const std::string day0 = WriteAzureDayCsv(w.model, w.trace, 0);
@@ -138,6 +181,26 @@ TEST(AzureCsv, EmptyDayListIsAnError) {
   const auto loaded = ReadAzureDayCsvs({});
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.error().code, ErrorCode::kInvalidArgument);
+}
+
+TEST(AzureCsv, PipeInNamesDoesNotMergeEntities) {
+  std::string day0 = "HashOwner,HashApp,HashFunction,Trigger";
+  for (int m = 1; m <= 1440; ++m) day0 += "," + std::to_string(m);
+  day0 += "\n";
+  for (const char* entity : {"a|b,c,f,http", "a,b|c,f,http"}) {
+    day0 += entity;
+    for (int m = 0; m < 1440; ++m) day0 += m == 0 ? ",1" : ",0";
+    day0 += "\n";
+  }
+  const auto loaded = ReadAzureDayCsvs({day0});
+  ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
+  const auto& model = loaded.value().model;
+  EXPECT_EQ(model.num_users(), 2u);
+  ASSERT_EQ(model.num_apps(), 2u);
+  ASSERT_EQ(model.num_functions(), 2u);
+  EXPECT_EQ(model.app(AppId{1}).name, "b|c");
+  EXPECT_EQ(model.app(AppId{1}).user, UserId{1});
+  EXPECT_EQ(model.function(FunctionId{1}).app, AppId{1});
 }
 
 TEST(AzureCsv, RejectsWrongColumnCount) {
@@ -279,6 +342,26 @@ TEST(LongCsvLenient, RowsPastForcedHorizonAreDropped) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(report.rows_skipped, 1u);
   EXPECT_EQ(loaded.value().trace.horizon().end, 100);
+}
+
+TEST(LongCsvLenient, FarMinutesAreNotDuplicatesOfOtherFunctions) {
+  const std::string csv =
+      "user,app,function,minute,count\n"
+      "u,a,f,1099511627776,1\n"
+      "u,a,g,0,1\n"
+      "u,a,f,1099511627776,2\n";
+  ParseReport report;
+  const auto loaded = ReadLongCsv(csv, 0, ParseMode::kLenient, &report);
+  ASSERT_TRUE(loaded.ok());
+  // Only the last row is a duplicate; g's row at minute 0 survives.
+  EXPECT_EQ(report.duplicate_rows, 1u);
+  EXPECT_EQ(report.total_anomalies(), 1u);
+  const auto& lt = loaded.value();
+  ASSERT_EQ(lt.model.num_functions(), 2u);
+  ASSERT_EQ(lt.trace.series(FunctionId{0}).size(), 1u);
+  EXPECT_EQ(lt.trace.series(FunctionId{0})[0].count, 1u);
+  ASSERT_EQ(lt.trace.series(FunctionId{1}).size(), 1u);
+  EXPECT_EQ(lt.trace.series(FunctionId{1})[0].minute, 0);
 }
 
 TEST(AzureCsvLenient, SkipsWrongColumnCountRows) {

@@ -24,9 +24,14 @@
 #   8. run the chaos soak gate (tools/tier1_soak.sh): seeds 0-9 of
 #      retrying traffic under injected faults — including the
 #      shard-kill soak — time-bounded, counters to BENCH_soak.json
-#   9. run the static-analysis gate (tools/tier1_lint.sh): defuse-lint
+#   9. run the benchmark smoke test (perfbench/smoke_test.py): every
+#      workload at tiny scale on two seeds, untraced and traced, must
+#      pass its own output checks (replay Save->Load->Save byte
+#      identity, the league table equal to arena::RunLeague) and print
+#      every metric BENCHMARK.json declares; it builds under .bench_build/
+#  10. run the static-analysis gate (tools/tier1_lint.sh): defuse-lint
 #      must report zero findings, plus clang-tidy when installed
-#  10. run the ASan+UBSan chaos pass (tools/tier1_sanitize.sh)
+#  11. run the ASan+UBSan chaos pass (tools/tier1_sanitize.sh)
 #
 # Any step failing fails the script (set -e), which is the CI contract:
 # green means buildable, correct, crash-safe, lint-clean, and
@@ -70,6 +75,9 @@ ctest --test-dir "$BUILD_DIR" -L arena --output-on-failure -j \
 
 echo "== chaos soak gate (tools/tier1_soak.sh) =="
 "$SRC_DIR/tools/tier1_soak.sh" "$BUILD_DIR"
+
+echo "== benchmark smoke test (perfbench/smoke_test.py) =="
+python3 "$SRC_DIR/perfbench/smoke_test.py"
 
 echo "== static analysis (tools/tier1_lint.sh) =="
 "$SRC_DIR/tools/tier1_lint.sh" "$BUILD_DIR"
