@@ -1,13 +1,17 @@
 #include "mining/cooccurrence.hpp"
 
 // Sort-at-boundary audit note: this file intentionally holds no
-// unordered containers. Window sets are sorted vectors by construction
-// (SeriesInRange yields ascending minutes) and the co-occurrence
-// intersection walks two ascending lists, so every merge here is
-// deterministic without an ordering boundary.
+// unordered containers. Accumulate sweeps the windows in time order
+// (ForEachActiveWindow): each window adds one to every (active row,
+// active column) cell and to each active row's and column's total, so
+// C[u][p] counts the windows in which both fire. Every count is an
+// integer sum, so the order of the sweep cannot reach the PPMI doubles.
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
+
+#include "mining/window_buckets.hpp"
 
 namespace defuse::mining {
 
@@ -23,49 +27,30 @@ void CooccurrenceMatrix::Accumulate(const trace::InvocationTrace& trace,
                                     TimeRange range,
                                     MinuteDelta window_minutes) {
   assert(window_minutes >= 1);
-  // Active window sets per row/col function.
-  const auto windows_of = [&](FunctionId fn) {
-    std::vector<Minute> windows;
-    for (const auto& e : trace.SeriesInRange(fn, range)) {
-      const Minute w = (e.minute - range.begin) / window_minutes;
-      if (windows.empty() || windows.back() != w) windows.push_back(w);
-    }
-    return windows;
-  };
-
-  std::vector<std::vector<Minute>> row_sets(rows_.size());
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    row_sets[r] = windows_of(rows_[r]);
-    row_windows_[r] += row_sets[r].size();
-  }
-  std::vector<std::vector<Minute>> col_sets(cols_.size());
-  for (std::size_t c = 0; c < cols_.size(); ++c) {
-    col_sets[c] = windows_of(cols_[c]);
-    col_windows_[c] += col_sets[c].size();
-  }
-
-  // Sorted-list intersections; both sides are ascending by construction.
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    if (row_sets[r].empty()) continue;
-    for (std::size_t c = 0; c < cols_.size(); ++c) {
-      if (col_sets[c].empty()) continue;
-      std::uint64_t both = 0;
-      auto ri = row_sets[r].begin();
-      auto ci = col_sets[c].begin();
-      while (ri != row_sets[r].end() && ci != col_sets[c].end()) {
-        if (*ri < *ci) {
-          ++ri;
-        } else if (*ci < *ri) {
-          ++ci;
-        } else {
-          ++both;
-          ++ri;
-          ++ci;
+  // Rows, then columns, in one bucketed list: a window's active positions
+  // below num_rows are rows, the rest columns.
+  const std::size_t num_rows = rows_.size();
+  const std::size_t num_cols = cols_.size();
+  std::vector<FunctionId> fns;
+  fns.reserve(num_rows + num_cols);
+  fns.insert(fns.end(), rows_.begin(), rows_.end());
+  fns.insert(fns.end(), cols_.begin(), cols_.end());
+  ForEachActiveWindow(
+      trace, fns, range, window_minutes,
+      [&](std::span<const std::uint32_t> active) {
+        const auto first_col =
+            std::lower_bound(active.begin(), active.end(), num_rows);
+        for (auto c = first_col; c != active.end(); ++c) {
+          ++col_windows_[*c - num_rows];
         }
-      }
-      counts_[r * cols_.size() + c] += both;
-    }
-  }
+        for (auto r = active.begin(); r != first_col; ++r) {
+          ++row_windows_[*r];
+          std::uint64_t* row = counts_.data() + std::size_t{*r} * num_cols;
+          for (auto c = first_col; c != active.end(); ++c) {
+            ++row[*c - num_rows];
+          }
+        }
+      });
 
   const MinuteDelta len = std::max<MinuteDelta>(range.length(), 0);
   total_windows_ += static_cast<std::uint64_t>(

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <string>
 #include <utility>
+
+#include "mining/window_buckets.hpp"
 
 namespace defuse::mining {
 
@@ -11,28 +14,19 @@ std::vector<Transaction> BuildUserTransactions(
     const trace::InvocationTrace& trace, const trace::WorkloadModel& model,
     UserId user, TimeRange range, const TransactionConfig& config) {
   assert(config.window_minutes >= 1);
-  // (window index, function) for every active minute; sorting groups the
-  // windows in time order with their functions ascending, without
-  // materializing the (mostly empty) dense range.
-  std::vector<std::pair<Minute, FunctionId>> cells;
-  for (const FunctionId fn : model.FunctionsOfUser(user)) {
-    for (const auto& e : trace.SeriesInRange(fn, range)) {
-      cells.emplace_back((e.minute - range.begin) / config.window_minutes,
-                         fn);
-    }
-  }
-  std::sort(cells.begin(), cells.end());
-  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
+  // FunctionsOfUser lists the client's functions in app order; bucketing
+  // an ascending copy yields every window's functions in id order.
+  std::vector<FunctionId> fns = model.FunctionsOfUser(user);
+  std::sort(fns.begin(), fns.end());
   std::vector<Transaction> transactions;
-  Transaction items;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    items.push_back(cells[i].second);
-    if (i + 1 < cells.size() && cells[i + 1].first == cells[i].first) continue;
-    if (items.size() >= config.min_items) {
-      transactions.push_back(std::move(items));
-    }
-    items.clear();
-  }
+  ForEachActiveWindow(
+      trace, fns, range, config.window_minutes,
+      [&](std::span<const std::uint32_t> active) {
+        if (active.size() < config.min_items) return;
+        Transaction& items = transactions.emplace_back();
+        items.reserve(active.size());
+        for (const std::uint32_t i : active) items.push_back(fns[i]);
+      });
   return transactions;
 }
 
@@ -84,15 +78,18 @@ std::vector<Transaction> ProjectTransactions(
   }
   std::vector<char> members(table_size, 0);
   for (const FunctionId fn : window.functions) members[fn.value()] = 1;
+  // One scratch buffer for every scanned transaction; only the kept
+  // ones are copied out.
   std::vector<Transaction> projected;
+  Transaction kept;
   for (const Transaction& t : transactions) {
-    Transaction kept;
+    kept.clear();
     for (const FunctionId fn : t) {
       if (fn.value() < members.size() && members[fn.value()] != 0) {
         kept.push_back(fn);
       }
     }
-    if (kept.size() >= min_items) projected.push_back(std::move(kept));
+    if (kept.size() >= min_items) projected.push_back(kept);
   }
   return projected;
 }

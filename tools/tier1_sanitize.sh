@@ -5,7 +5,10 @@
 # flips, oversize, garbage) is only meaningful if decoding never
 # over-reads, and the stats, policy, mining and arena suites, whose
 # running histogram moments, rank-kept day profiles, bitmap group
-# merges and dense projection tables do index and unsigned arithmetic.
+# merges, window buckets and dense projection tables do index and
+# unsigned arithmetic. The delta-mining suite runs too: it feeds CanTree
+# exports and loaded co-occurrence counts through the same projection
+# and FP-Growth code.
 #
 #   tools/tier1_sanitize.sh [build-dir]          # default: build-asan
 #
@@ -25,10 +28,12 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DDEFUSE_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j "$(nproc 2>/dev/null || echo 4)" \
   --target test_faults test_platform test_durability test_trace test_common \
-  test_core test_serving test_stats test_policy test_mining test_arena
+  test_core test_serving test_stats test_policy test_mining test_delta \
+  test_arena
 
 for t in test_faults test_platform test_durability test_trace test_common \
-    test_core test_serving test_stats test_policy test_mining test_arena; do
+    test_core test_serving test_stats test_policy test_mining test_delta \
+    test_arena; do
   echo "== $t (ASan+UBSan) =="
   "$BUILD_DIR/tests/$t"
 done
